@@ -58,6 +58,21 @@ fn bench_unfold_partition(c: &mut Criterion) {
     c.bench_function("partition/N32_64^3", |bench| {
         bench.iter(|| black_box(partition_unfolding(&unf, 32)))
     });
+
+    // Proxy-shaped: tall and sparse (~15 ones per mode-1 row, as in the
+    // Facebook proxy), two partitions of many slabs each. Modes 1 and 2
+    // have 4096 rows × 32 blocks per partition; mode 3 has 64 rows × 2048
+    // blocks, fewer rows than blocks. The cubic case above never shows
+    // the rows × blocks term these shapes load.
+    let dims = [4096, 4096, 64];
+    let proxy = dbtf_datagen::uniform_random(dims, 6e-5, 9);
+    for mode in Mode::ALL {
+        let unf = Unfolding::new(&proxy, mode);
+        c.bench_function(
+            &format!("partition/N2_4096x4096x64_sparse/mode{}", mode.index() + 1),
+            |bench| bench.iter(|| black_box(partition_unfolding(&unf, 2))),
+        );
+    }
 }
 
 fn bench_cache(c: &mut Criterion) {

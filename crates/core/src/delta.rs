@@ -385,8 +385,7 @@ fn distribute_overlays<B: ExecutionBackend>(
                 sched.distribute_with_lineage("delta.unfold.distribute", elems, move |idx| {
                     let base = Unfolding::new(&rebuild_src, mode);
                     let overlay = OverlayUnfolding::new(&base, &rebuild_delta);
-                    let mut parts = partition_unfolding(&overlay, n_partitions);
-                    PartitionSlot::new(parts.swap_remove(idx))
+                    PartitionSlot::new(partition_unfolding_one(&overlay, idx, n_partitions))
                 })
             }
             (None, Some(stores)) => {

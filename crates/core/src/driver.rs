@@ -424,7 +424,7 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
     // The lineage root: a lost partition is re-derived deterministically
     // (Spark's recompute-from-source contract). RAM runs keep a heap copy
     // of the source tensor and re-unfold it; mmap runs re-open the spilled
-    // columnar file and re-slice only the lost partition's column range.
+    // columnar file. Both re-slice only the lost partition's column range.
     let (source, stores) = match storage {
         StorageKind::Ram => (Some(Arc::new(x.clone())), None),
         StorageKind::Mmap => (None, Some(RunStores::build(x, spill_dir)?)),
@@ -460,8 +460,7 @@ pub(crate) fn distribute_unfoldings<B: ExecutionBackend>(
                 let rebuild_src = Arc::clone(source);
                 sched.distribute_with_lineage("unfold.distribute", elems, move |idx| {
                     let unfolding = Unfolding::new(&rebuild_src, mode);
-                    let mut parts = partition_unfolding(&unfolding, n_partitions);
-                    PartitionSlot::new(parts.swap_remove(idx))
+                    PartitionSlot::new(partition_unfolding_one(&unfolding, idx, n_partitions))
                 })
             }
             (None, Some(stores)) => {

@@ -51,6 +51,11 @@ pub const SWEEP_TASK: &str = "cp.update.sweep";
 /// Registry name of the apply-last-column/error finish superstep.
 pub const FINISH_TASK: &str = "cp.update.finish";
 
+/// Payload bytes one block header occupies on the data channel.
+const BLOCK_WIRE_BYTES: usize = 16;
+/// Payload bytes one non-zero occupies on the data channel.
+const NONZERO_WIRE_BYTES: usize = 12;
+
 impl Wire for PartitionSlot {
     fn encode(&self, w: &mut WireWriter) {
         let p = &self.part;
@@ -83,10 +88,27 @@ impl Wire for PartitionSlot {
         let col_lo = r.data_u64()?;
         let col_hi = r.data_u64()?;
         let slab_width = r.data_u64()? as usize;
-        let nrows = r.data_u64()? as usize;
-        let nblocks = r.data_u64()? as usize;
+        let nrows = r.data_u64()?;
+        let nblocks = r.data_u64()?;
         let total_nnz = r.data_u64()?;
         let _reserved = r.data_u64()?;
+        // Every count below sizes an allocation. Block and non-zero counts
+        // are bounded by the payload bytes left, the row count by the u32
+        // rows ship as, before anything is reserved.
+        let nrows = u32::try_from(nrows)
+            .map_err(|_| WireError(format!("partition claims {nrows} rows; rows ship as u32")))?
+            as usize;
+        let row_offsets_len = nrows
+            .checked_add(1)
+            .ok_or_else(|| WireError(format!("partition row count {nrows} overflows")))?;
+        if nblocks > (r.data_remaining() / BLOCK_WIRE_BYTES) as u64 {
+            return Err(WireError(format!(
+                "partition claims {nblocks} blocks; {} payload bytes hold at most {}",
+                r.data_remaining(),
+                r.data_remaining() / BLOCK_WIRE_BYTES
+            )));
+        }
+        let nblocks = nblocks as usize;
         let mut geom = Vec::with_capacity(nblocks);
         let mut shipped = 0u64;
         for _ in 0..nblocks {
@@ -100,8 +122,16 @@ impl Wire for PartitionSlot {
                      slab width {slab_width}"
                 )));
             }
-            shipped += nnz;
-            geom.push((slab, inner_lo, inner_len, nnz));
+            shipped = shipped
+                .checked_add(nnz)
+                .filter(|&total| total <= (r.data_remaining() / NONZERO_WIRE_BYTES) as u64)
+                .ok_or_else(|| {
+                    WireError(format!(
+                        "partition blocks claim more non-zeros than the {} payload bytes left hold",
+                        r.data_remaining()
+                    ))
+                })?;
+            geom.push((slab, inner_lo, inner_len, nnz as usize));
         }
         if shipped != total_nnz {
             return Err(WireError(format!(
@@ -110,8 +140,8 @@ impl Wire for PartitionSlot {
         }
         let mut blocks = Vec::with_capacity(nblocks);
         for (slab, inner_lo, inner_len, nnz) in geom {
-            let mut row_offsets = vec![0u32; nrows + 1];
-            let mut cols = Vec::with_capacity(nnz as usize);
+            let mut row_offsets = vec![0u32; row_offsets_len];
+            let mut cols = Vec::with_capacity(nnz);
             let mut last_row = 0usize;
             for _ in 0..nnz {
                 let row = r.data_u32()? as usize;
@@ -415,8 +445,82 @@ mod tests {
         let part = partition_unfolding(&u, 1).remove(0);
         let frame = PartitionSlot::new(part).to_frame();
         // Truncations anywhere must error, never panic or mis-decode.
-        for cut in [frame.bytes.len() / 3, frame.bytes.len() - 4] {
-            assert!(PartitionSlot::from_frame(&frame.bytes[..cut]).is_err());
+        for cut in 0..frame.bytes.len() {
+            assert!(
+                PartitionSlot::from_frame(&frame.bytes[..cut]).is_err(),
+                "truncated at {cut} of {} bytes",
+                frame.bytes.len()
+            );
+        }
+    }
+
+    /// A small encoded partition with at least two blocks, plus the offset
+    /// of its data channel inside the frame.
+    fn two_block_frame() -> (Vec<u8>, usize) {
+        let t = random_tensor([4, 4, 4], 0.4, 3);
+        let u = Unfolding::new(&t, Mode::One);
+        let part = partition_unfolding(&u, 1).remove(0);
+        assert!(part.blocks.len() >= 2);
+        let bytes = PartitionSlot::new(part).to_frame().bytes;
+        let meta_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        (bytes, 4 + meta_len)
+    }
+
+    fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn decode_error(bytes: &[u8]) -> String {
+        match PartitionSlot::from_frame(bytes) {
+            Ok(_) => panic!("hostile frame decoded"),
+            Err(e) => e.0,
+        }
+    }
+
+    // Header fields on the data channel, as byte offsets.
+    const NROWS_AT: usize = 32;
+    const NBLOCKS_AT: usize = 40;
+    const NNZ_AT: usize = 48;
+
+    #[test]
+    fn inflated_block_count_is_an_error_not_an_allocation() {
+        // A 72-byte frame: no meta, the 64-byte header, four spare bytes.
+        let mut w = WireWriter::new();
+        for v in [0, 0, 4, 4, 4, 1 << 62, 0, 0] {
+            w.data_u64(v);
+        }
+        w.data_u32(0);
+        let frame = w.finish();
+        assert_eq!(frame.bytes.len(), 72);
+        assert!(decode_error(&frame.bytes).contains("blocks"));
+
+        let (mut bytes, data) = two_block_frame();
+        put_u64(&mut bytes, data + NBLOCKS_AT, u64::MAX);
+        assert!(decode_error(&bytes).contains("blocks"));
+    }
+
+    #[test]
+    fn inflated_block_nnz_is_an_error_not_an_allocation() {
+        for claim in [1u64 << 40, u64::MAX] {
+            // First block's count on the meta channel, and a header total
+            // that agrees with it.
+            let (mut bytes, data) = two_block_frame();
+            put_u64(&mut bytes, 4, claim);
+            put_u64(&mut bytes, data + NNZ_AT, claim);
+            assert!(decode_error(&bytes).contains("non-zeros"), "claim {claim}");
+        }
+        // The second block's count overflows the running total.
+        let (mut bytes, _) = two_block_frame();
+        put_u64(&mut bytes, 12, u64::MAX);
+        assert!(decode_error(&bytes).contains("non-zeros"));
+    }
+
+    #[test]
+    fn row_count_beyond_u32_is_rejected() {
+        for claim in [u64::MAX, u32::MAX as u64 + 1] {
+            let (mut bytes, data) = two_block_frame();
+            put_u64(&mut bytes, data + NROWS_AT, claim);
+            assert!(decode_error(&bytes).contains("rows"), "claim {claim}");
         }
     }
 

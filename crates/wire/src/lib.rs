@@ -214,6 +214,12 @@ impl<'a> WireReader<'a> {
         Ok(u32::from_le_bytes(self.data_bytes(4)?.try_into().unwrap()))
     }
 
+    /// Payload bytes not yet read off the data channel — the budget a
+    /// decoder checks untrusted element counts against before allocating.
+    pub fn data_remaining(&self) -> usize {
+        self.data.len()
+    }
+
     /// True when both channels are fully consumed.
     pub fn is_empty(&self) -> bool {
         self.meta.is_empty() && self.data.is_empty()
@@ -464,8 +470,10 @@ mod tests {
         // 8 (scalar) + 3 * 8 (elements); the vec length lives in meta.
         assert_eq!(frame.data_len, 32);
         let mut r = WireReader::new(&frame.bytes).unwrap();
+        assert_eq!(r.data_remaining(), 32);
         let back = <(u64, Vec<u64>)>::decode(&mut r).unwrap();
         assert_eq!(back, (5, vec![1, 2, 3]));
+        assert_eq!(r.data_remaining(), 0);
         assert!(r.is_empty());
     }
 
