@@ -216,6 +216,32 @@ fn usage_and_runtime_errors_use_distinct_exit_codes() {
 }
 
 #[test]
+fn inflated_binary_entry_count_is_a_clean_error() {
+    // A 40-byte DBTFBIN1 file claiming 2⁶² entries.
+    let dir = tempdir("bincount");
+    let path = dir.join("x.dbtf");
+    let mut bytes = b"DBTFBIN1".to_vec();
+    for v in [4u64, 4, 4, 1 << 62] {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    std::fs::write(&path, &bytes).unwrap();
+    let out = dbtf(&[
+        "factorize",
+        "--input",
+        path.to_str().unwrap(),
+        "--binary",
+        "--rank",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("dbtf: "), "{stderr}");
+    assert!(stderr.contains("truncated entry section"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("backtrace"), "{stderr}");
+}
+
+#[test]
 fn trace_out_roundtrips_through_stats() {
     let dir = tempdir("trace");
     let x = dir.join("x.txt");

@@ -23,7 +23,7 @@
 //!                nblocks, nnz, reserved — 8 LE u64s
 //! blocks   16 B each: slab (u64), inner_lo (u32), inner_len (u32)
 //! nonzeros 12 B each: row (u32), column offset in block (u64),
-//!                     written in block order then CSR row order
+//!                     written in block order, then row order
 //! ```
 //!
 //! Per-block non-zero counts ride the meta channel (framing, not
@@ -74,9 +74,9 @@ impl Wire for PartitionSlot {
             w.data_u32(b.inner_len);
         }
         for b in &p.blocks {
-            for r in 0..b.nrows() {
-                for &off in b.row(r) {
-                    w.data_u32(r as u32);
+            for (r, run) in b.nonempty_rows() {
+                for &off in run {
+                    w.data_u32(r);
                     w.data_u64(off as u64);
                 }
             }
@@ -92,15 +92,12 @@ impl Wire for PartitionSlot {
         let nblocks = r.data_u64()?;
         let total_nnz = r.data_u64()?;
         let _reserved = r.data_u64()?;
-        // Every count below sizes an allocation. Block and non-zero counts
-        // are bounded by the payload bytes left, the row count by the u32
-        // rows ship as, before anything is reserved.
+        // Block and non-zero counts size allocations, so both are bounded
+        // by the payload bytes left before anything is reserved. The row
+        // count sizes nothing here; it must fit the u32 rows ship as.
         let nrows = u32::try_from(nrows)
             .map_err(|_| WireError(format!("partition claims {nrows} rows; rows ship as u32")))?
             as usize;
-        let row_offsets_len = nrows
-            .checked_add(1)
-            .ok_or_else(|| WireError(format!("partition row count {nrows} overflows")))?;
         if nblocks > (r.data_remaining() / BLOCK_WIRE_BYTES) as u64 {
             return Err(WireError(format!(
                 "partition claims {nblocks} blocks; {} payload bytes hold at most {}",
@@ -140,25 +137,6 @@ impl Wire for PartitionSlot {
         }
         let mut blocks = Vec::with_capacity(nblocks);
         for (slab, inner_lo, inner_len, nnz) in geom {
-            let mut row_offsets = vec![0u32; row_offsets_len];
-            let mut cols = Vec::with_capacity(nnz);
-            let mut last_row = 0usize;
-            for _ in 0..nnz {
-                let row = r.data_u32()? as usize;
-                let off = r.data_u64()?;
-                if row >= nrows || row < last_row || off >= inner_len as u64 {
-                    return Err(WireError(format!(
-                        "partition non-zero out of order or out of range: \
-                         row {row} (of {nrows}), offset {off} (width {inner_len})"
-                    )));
-                }
-                last_row = row;
-                row_offsets[row + 1] += 1;
-                cols.push(off as u32);
-            }
-            for i in 0..nrows {
-                row_offsets[i + 1] += row_offsets[i];
-            }
             // Block kinds are a pure function of slab geometry (Figure 5).
             let kind = match (
                 inner_lo == 0,
@@ -169,14 +147,35 @@ impl Wire for PartitionSlot {
                 (false, true) => BlockKind::Suffix,
                 (false, false) => BlockKind::Interior,
             };
-            blocks.push(Block {
-                slab,
-                inner_lo,
-                inner_len,
-                kind,
-                row_offsets,
-                cols,
-            });
+            // `nnz` is bounded by the payload, and a block lists at most
+            // `min(nnz, nrows)` rows.
+            let mut block = Block::new(slab, inner_lo, inner_len, kind);
+            block.cols.reserve_exact(nnz);
+            block.rows.reserve_exact(nnz.min(nrows));
+            block.ends.reserve_exact(nnz.min(nrows));
+            let mut open_row = None;
+            for _ in 0..nnz {
+                let row = r.data_u32()?;
+                let off = r.data_u64()?;
+                if row as usize >= nrows
+                    || open_row.is_some_and(|open| row < open)
+                    || off >= inner_len as u64
+                {
+                    return Err(WireError(format!(
+                        "partition non-zero out of order or out of range: \
+                         row {row} (of {nrows}), offset {off} (width {inner_len})"
+                    )));
+                }
+                if let Some(open) = open_row.filter(|&open| open != row) {
+                    block.end_row(open);
+                }
+                open_row = Some(row);
+                block.cols.push(off as u32);
+            }
+            if let Some(open) = open_row {
+                block.end_row(open);
+            }
+            blocks.push(block);
         }
         Ok(PartitionSlot::new(ModePartition {
             index,
@@ -522,6 +521,37 @@ mod tests {
             put_u64(&mut bytes, data + NROWS_AT, claim);
             assert!(decode_error(&bytes).contains("rows"), "claim {claim}");
         }
+    }
+
+    #[test]
+    fn huge_row_count_allocates_nothing_per_row() {
+        // A frame claiming 2³²−1 rows over 4096 empty blocks: decoding
+        // must cost O(blocks), not O(rows × blocks).
+        let nblocks = 4096u64;
+        let mut w = WireWriter::new();
+        for v in [0, 0, nblocks * 4, 4, u32::MAX as u64, nblocks, 0, 0] {
+            w.data_u64(v);
+        }
+        for slab in 0..nblocks {
+            w.meta_u64(0);
+            w.data_u64(slab);
+            w.data_u32(0);
+            w.data_u32(4);
+        }
+        let slot = PartitionSlot::from_frame(&w.finish().bytes).unwrap();
+        let part = &slot.part;
+        assert_eq!(part.nrows, u32::MAX as usize);
+        assert_eq!(part.blocks.len(), nblocks as usize);
+        let row_words: usize = part
+            .blocks
+            .iter()
+            .map(|b| b.rows.capacity() + b.ends.capacity() + b.cols.capacity())
+            .sum();
+        assert_eq!(row_words, 0);
+        assert!(part
+            .blocks
+            .iter()
+            .all(|b| b.row(u32::MAX as usize - 1).is_empty()));
     }
 
     #[test]

@@ -31,10 +31,12 @@ pub enum BlockKind {
 /// One block of a partition: a contiguous column range within a single PVM
 /// slab, with the partition's rows of the unfolded tensor restricted to it.
 ///
-/// Row data is stored CSR-style (one offsets array plus one concatenated
-/// column array) rather than as per-row `Vec`s: at NELL-like shapes a
-/// partition holds hundreds of blocks over tens of thousands of rows, and
-/// 24-byte `Vec` headers per (row, block) pair would dwarf the data.
+/// Storage is sized by the block's ones, not by the unfolding's rows: only
+/// rows holding at least one one are listed (`rows`, ascending), each with
+/// the end of its run in one concatenated column array (`ends`). On tall
+/// many-slab unfoldings most (row, block) pairs are empty: on the
+/// Facebook-shaped proxy one offset per row in every block would cost
+/// ~98 B per one, against ~7 B per one here.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Block {
     /// Index `k` of the PVM slab this block lies in (a row of `M_f`).
@@ -45,23 +47,77 @@ pub struct Block {
     pub inner_len: u32,
     /// Figure 5 block type.
     pub kind: BlockKind,
-    /// CSR row offsets (`row_offsets.len() = nrows + 1`).
-    pub(crate) row_offsets: Vec<u32>,
+    /// The rows with at least one one in this block, ascending.
+    pub(crate) rows: Vec<u32>,
+    /// `ends[i]` = end of row `rows[i]`'s run in `cols`; the run starts
+    /// where the previous one ends.
+    pub(crate) ends: Vec<u32>,
     /// Concatenated sorted column offsets (relative to `inner_lo`).
     pub(crate) cols: Vec<u32>,
 }
 
 impl Block {
-    /// The sorted one-offsets (relative to `inner_lo`) of unfolding row
-    /// `r` within this block.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[u32] {
-        &self.cols[self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize]
+    /// An empty block of the given geometry. Rows are appended by pushing
+    /// their offsets onto `cols` and closing them with [`Block::end_row`].
+    pub(crate) fn new(slab: usize, inner_lo: u32, inner_len: u32, kind: BlockKind) -> Self {
+        Block {
+            slab,
+            inner_lo,
+            inner_len,
+            kind,
+            rows: Vec::new(),
+            ends: Vec::new(),
+            cols: Vec::new(),
+        }
     }
 
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.row_offsets.len() - 1
+    /// Closes row `r` after its offsets were pushed onto `cols`; the row is
+    /// recorded only if it received any. Rows close in ascending order.
+    pub(crate) fn end_row(&mut self, r: u32) {
+        let end = u32::try_from(self.cols.len()).expect("block nnz exceeds u32");
+        if end > self.ends.last().copied().unwrap_or(0) {
+            debug_assert!(self.rows.last().is_none_or(|&last| last < r));
+            self.rows.push(r);
+            self.ends.push(end);
+        }
+    }
+
+    /// The sorted one-offsets (relative to `inner_lo`) of unfolding row
+    /// `r` within this block: a binary search over the non-empty rows, for
+    /// random access. Per-row loops use [`Block::ordered_rows`].
+    pub fn row(&self, r: usize) -> &[u32] {
+        let Some(i) = u32::try_from(r)
+            .ok()
+            .and_then(|r| self.rows.binary_search(&r).ok())
+        else {
+            return &[];
+        };
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.cols[start..self.ends[i] as usize]
+    }
+
+    /// The non-empty rows in ascending order, each with its sorted
+    /// one-offsets.
+    pub fn nonempty_rows(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let mut start = 0usize;
+        self.rows.iter().zip(&self.ends).map(move |(&r, &end)| {
+            let run = &self.cols[start..end as usize];
+            start = end as usize;
+            (r, run)
+        })
+    }
+
+    /// Every row `0..nrows` in turn, an empty row as an empty slice. Per-row
+    /// kernels zip this with their per-row state, so no row can be skipped.
+    pub fn ordered_rows(&self, nrows: usize) -> OrderedRows<'_> {
+        debug_assert!(self.rows.last().is_none_or(|&last| (last as usize) < nrows));
+        OrderedRows {
+            block: self,
+            row: 0,
+            nrows,
+            next: 0,
+            start: 0,
+        }
     }
 
     /// Number of ones stored in this block.
@@ -69,6 +125,48 @@ impl Block {
         self.cols.len()
     }
 }
+
+/// Every row of a [`Block`] in order; see [`Block::ordered_rows`].
+pub struct OrderedRows<'a> {
+    block: &'a Block,
+    /// The row the next call yields.
+    row: usize,
+    nrows: usize,
+    /// Index in `block.rows` of the next non-empty row.
+    next: usize,
+    /// Start of that row's run in `block.cols`.
+    start: usize,
+}
+
+impl<'a> Iterator for OrderedRows<'a> {
+    type Item = &'a [u32];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [u32]> {
+        if self.row == self.nrows {
+            return None;
+        }
+        let r = self.row;
+        self.row += 1;
+        let b = self.block;
+        if b.rows.get(self.next).is_some_and(|&nr| nr as usize == r) {
+            let end = b.ends[self.next] as usize;
+            let run = &b.cols[self.start..end];
+            self.start = end;
+            self.next += 1;
+            Some(run)
+        } else {
+            Some(&[])
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.nrows - self.row;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for OrderedRows<'_> {}
 
 /// One vertical partition of an unfolded tensor (Algorithm 3's `p_i`),
 /// split into blocks and ready to be shipped to a worker.
@@ -130,7 +228,7 @@ impl ModePartition {
 
     /// Wire size in bytes, used to meter the shuffle (Lemma 6) and worker
     /// memory (Lemma 5): each non-zero ships as a (row, column) pair; the
-    /// CSR block structure is rebuilt worker-side (Algorithm 3 line 4) and
+    /// block structure is rebuilt worker-side (Algorithm 3 line 4) and
     /// adds only per-block headers.
     pub fn byte_size(&self) -> u64 {
         64 + self.nnz() as u64 * 12 + self.blocks.len() as u64 * 16
@@ -187,14 +285,15 @@ pub fn partition_unfolding_one<S: UnfoldingStore>(
 }
 
 /// Builds one partition in a single pass over its rows (Algorithm 3,
-/// Lemma 4): one `row_range` search per row finds the row's ones inside
-/// `[col_lo, col_hi)`, then the blocks, cut at slab boundaries, are filled
-/// in column order, each advancing every row's cursor past its own
-/// columns.
+/// Lemma 4). The blocks are cut at slab boundaries first. Then one
+/// `row_range` search per row finds the row's ones inside
+/// `[col_lo, col_hi)`, and a block cursor walks forward along them,
+/// appending each run that lies in one block to that block: no division,
+/// and nothing written for a (row, block) pair without a one.
 ///
-/// Cost: `nrows` searches plus an `O(nrows · blocks + nnz)` fill. The fill
-/// term is inherent to the layout — every block stores a CSR offset per
-/// row, empty or not — but it is a sequential walk, not a search.
+/// Cost: `nrows` searches, one write per one and per non-empty
+/// (row, block) pair, and at most one cursor comparison per block
+/// boundary per row. Storage is `O(nnz + blocks)`.
 fn build_partition<S: UnfoldingStore>(
     unfolding: &S,
     index: usize,
@@ -203,15 +302,9 @@ fn build_partition<S: UnfoldingStore>(
     s: u64,
     nrows: usize,
 ) -> ModePartition {
-    // Each row's ones not yet claimed by a block, in column order.
-    let mut rest: Vec<&[u64]> = if col_lo < col_hi {
-        (0..nrows)
-            .map(|r| unfolding.row_range(r, col_lo, col_hi))
-            .collect()
-    } else {
-        Vec::new()
-    };
     let mut blocks = Vec::new();
+    // Global column range `[lo, hi)` of each block.
+    let mut bounds = Vec::new();
     let mut lo = col_lo;
     while lo < col_hi {
         let slab = lo / s;
@@ -219,39 +312,58 @@ fn build_partition<S: UnfoldingStore>(
         let slab_end = slab_start + s;
         let hi = col_hi.min(slab_end);
         let inner_lo = (lo - slab_start) as u32;
-        let inner_len = (hi - lo) as u32;
         let kind = match (inner_lo == 0, hi == slab_end) {
             (true, true) => BlockKind::Full,
             (true, false) => BlockKind::Prefix,
             (false, true) => BlockKind::Suffix,
             (false, false) => BlockKind::Interior,
         };
-        let mut row_offsets = Vec::with_capacity(nrows + 1);
-        let mut cols = Vec::new();
-        row_offsets.push(0u32);
-        for row in rest.iter_mut() {
-            // One push per one, so `cols` grows through power-of-two
-            // capacities: sizing it per row with `extend` left the
-            // allocator holding ~5 MiB more at peak on the Facebook proxy
-            // (perfbench `cp-proxy-mmap-net`, 2-vCPU Xeon VM).
-            while let Some((&c, tail)) = row.split_first() {
-                if c >= hi {
-                    break;
-                }
-                cols.push((c - lo) as u32);
-                *row = tail;
-            }
-            row_offsets.push(u32::try_from(cols.len()).expect("block nnz exceeds u32"));
-        }
-        blocks.push(Block {
-            slab: slab as usize,
-            inner_lo,
-            inner_len,
-            kind,
-            row_offsets,
-            cols,
-        });
+        blocks.push(Block::new(slab as usize, inner_lo, (hi - lo) as u32, kind));
+        bounds.push((lo, hi));
         lo = hi;
+    }
+    let rows: Vec<&[u64]> = if blocks.is_empty() {
+        Vec::new()
+    } else {
+        (0..nrows)
+            .map(|r| unfolding.row_range(r, col_lo, col_hi))
+            .collect()
+    };
+    // Reserve each block an even share of the ones up front, which spares
+    // the many small blocks of a tall unfolding their early reallocations;
+    // skewed blocks still grow as needed, and every block is trimmed to its
+    // exact size at the end.
+    if let Some(share) = rows
+        .iter()
+        .map(|ones| ones.len())
+        .sum::<usize>()
+        .checked_div(blocks.len())
+    {
+        for block in &mut blocks {
+            block.cols.reserve(share);
+            block.rows.reserve(share.min(nrows));
+            block.ends.reserve(share.min(nrows));
+        }
+    }
+    for (r, &ones) in rows.iter().enumerate() {
+        let (mut b, mut i) = (0, 0);
+        while i < ones.len() {
+            while ones[i] >= bounds[b].1 {
+                b += 1;
+            }
+            let (base, end) = bounds[b];
+            let block = &mut blocks[b];
+            while i < ones.len() && ones[i] < end {
+                block.cols.push((ones[i] - base) as u32);
+                i += 1;
+            }
+            block.end_row(r as u32);
+        }
+    }
+    for block in &mut blocks {
+        block.cols.shrink_to_fit();
+        block.rows.shrink_to_fit();
+        block.ends.shrink_to_fit();
     }
     ModePartition {
         index,
@@ -276,7 +388,8 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The per-(row, block) builder: two binary searches for every row of
-    /// every block. `build_partition` must equal it byte for byte.
+    /// every block, through the same block constructor. `build_partition`
+    /// must equal it byte for byte.
     fn reference_partition_one<S: UnfoldingStore>(
         unfolding: &S,
         index: usize,
@@ -304,23 +417,14 @@ mod tests {
                 (false, true) => BlockKind::Suffix,
                 (false, false) => BlockKind::Interior,
             };
-            let mut row_offsets = Vec::with_capacity(nrows + 1);
-            let mut cols = Vec::new();
-            row_offsets.push(0u32);
+            let mut block = Block::new(slab as usize, inner_lo, inner_len, kind);
             for r in 0..nrows {
                 for &c in unfolding.row_range(r, lo, hi) {
-                    cols.push((c - slab_start) as u32 - inner_lo);
+                    block.cols.push((c - slab_start) as u32 - inner_lo);
                 }
-                row_offsets.push(u32::try_from(cols.len()).expect("block nnz exceeds u32"));
+                block.end_row(r as u32);
             }
-            blocks.push(Block {
-                slab: slab as usize,
-                inner_lo,
-                inner_len,
-                kind,
-                row_offsets,
-                cols,
-            });
+            blocks.push(block);
             lo = hi;
         }
         ModePartition {
@@ -586,6 +690,70 @@ mod tests {
                     part.blocks.len()
                 );
                 assert_eq!(part, reference_partition_one(&store.inner, idx, n));
+            }
+        }
+    }
+
+    /// Heap words (`u32`s) a block's row storage holds.
+    fn block_heap_words(b: &Block) -> usize {
+        b.rows.capacity() + b.ends.capacity() + b.cols.capacity()
+    }
+
+    #[test]
+    fn partition_storage_is_sized_by_nonzeros_not_rows() {
+        // Mode 3 of a 2 × 2000 × 200 tensor: 200 rows, slab width 2, so one
+        // partition spans 2000 blocks, and 400 ones leave almost every
+        // (row, block) pair empty. One offset per row per block would take
+        // 2000 × 201 words here.
+        let dims = [2usize, 2000, 200];
+        let mut rng = StdRng::seed_from_u64(14);
+        let entries = (0..400)
+            .map(|_| {
+                [
+                    rng.gen_range(0..dims[0] as u32),
+                    rng.gen_range(0..dims[1] as u32),
+                    rng.gen_range(0..dims[2] as u32),
+                ]
+            })
+            .collect();
+        let t = BoolTensor::from_entries(dims, entries);
+        let u = Unfolding::new(&t, Mode::Three);
+        for n in [1, 3] {
+            for part in partition_unfolding(&u, n) {
+                assert!(part.blocks.len() > part.nrows);
+                let nonempty_rows: usize = part.blocks.iter().map(|b| b.rows.len()).sum();
+                let words: usize = part.blocks.iter().map(block_heap_words).sum();
+                let bound = 16 * (part.nnz() + nonempty_rows + part.blocks.len());
+                assert!(
+                    words <= bound,
+                    "N = {n}: {words} heap words for {} ones, {nonempty_rows} non-empty \
+                     rows and {} blocks (bound {bound})",
+                    part.nnz(),
+                    part.blocks.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_accessors_agree() {
+        let t = random_tensor([3, 9, 6], 0.15, 13);
+        for mode in Mode::ALL {
+            let u = Unfolding::new(&t, mode);
+            for part in partition_unfolding(&u, 4) {
+                for b in &part.blocks {
+                    let ordered: Vec<&[u32]> = b.ordered_rows(part.nrows).collect();
+                    assert_eq!(ordered.len(), part.nrows);
+                    for (r, run) in ordered.iter().enumerate() {
+                        assert_eq!(*run, b.row(r), "row {r}");
+                        assert!(!b.rows.contains(&(r as u32)) || !run.is_empty());
+                    }
+                    for (r, run) in b.nonempty_rows() {
+                        assert!(!run.is_empty());
+                        assert_eq!(run, b.row(r as usize));
+                    }
+                    assert!(b.row(part.nrows).is_empty());
+                }
             }
         }
     }

@@ -38,7 +38,7 @@ use rand::SeedableRng;
 use crate::cache::{GroupLayout, RowSumCache};
 use crate::config::DbtfError;
 use crate::driver::distribute_unfoldings;
-use crate::partition::ModePartition;
+use crate::partition::{Block, ModePartition};
 use crate::sweep::{column_sweep, SweepLabels};
 use crate::tucker::{
     init_set, revive_dead_components, TuckerConfig, TuckerFactorization, TuckerResult,
@@ -116,19 +116,17 @@ impl TuckerWorkState {
     }
 
     /// Fetches the cached Boolean row summation for an `R_in`-bit union
-    /// mask and scores it against the sparse actual row of `block`.
+    /// mask and scores it against `actual`, one sparse row of `block`.
     fn block_error(
         &self,
-        part: &ModePartition,
-        block: usize,
-        row: usize,
+        block: &Block,
+        actual: &[u32],
         union: u64,
         scratch: &mut [u64],
     ) -> (u64, u64) {
         let cache = &self.cache;
         let ngroups = self.layout.num_groups();
-        let actual = part.blocks[block].row(row);
-        let width_off = part.blocks[block].inner_lo as usize;
+        let width_off = block.inner_lo as usize;
         let nnz = actual.len() as u64;
         let mut ops = 2 + nnz;
         let (inter, pop) = if ngroups == 1 {
@@ -139,11 +137,11 @@ impl TuckerWorkState {
                 inter += u64::from(cached.words()[bit / 64] & (1u64 << (bit % 64)) != 0);
             }
             // Popcount restricted to the block's columns.
-            let pop_in_block = if part.blocks[block].inner_len as usize == cache.width() {
+            let pop_in_block = if block.inner_len as usize == cache.width() {
                 pop as u64
             } else {
-                ops += (part.blocks[block].inner_len as u64).div_ceil(64);
-                cached.count_range(width_off, part.blocks[block].inner_len as usize) as u64
+                ops += (block.inner_len as u64).div_ceil(64);
+                cached.count_range(width_off, block.inner_len as usize) as u64
             };
             (inter, pop_in_block)
         } else {
@@ -162,7 +160,7 @@ impl TuckerWorkState {
                 inter += u64::from(scratch[bit / 64] & (1u64 << (bit % 64)) != 0);
             }
             let lo = width_off;
-            let len = part.blocks[block].inner_len as usize;
+            let len = block.inner_len as usize;
             let full = BitVec::from_words(cache.width(), scratch[..words].to_vec());
             pop += full.count_range(lo, len) as u64;
             (inter, pop)
@@ -404,15 +402,17 @@ fn update_factor_distributed<B: ExecutionBackend>(
                 let mut errs = vec![(0u64, 0u64); part.nrows];
                 let mut scratch = vec![0u64; part.slab_width.div_ceil(64).max(1)];
                 let mut ops = 0u64;
-                for b in 0..part.blocks.len() {
+                for (b, block) in part.blocks.iter().enumerate() {
                     let mask_t = state.block_masks[b][col];
                     if mask_t == 0 {
                         continue; // both candidates reconstruct identically
                     }
-                    for (row, err) in errs.iter_mut().enumerate() {
+                    let rows = errs.iter_mut().enumerate();
+                    for ((row, err), actual) in rows.zip(block.ordered_rows(part.nrows)) {
                         let base = state.union_mask(b, row, Some(col));
-                        let (e0, o0) = state.block_error(part, b, row, base, &mut scratch);
-                        let (e1, o1) = state.block_error(part, b, row, base | mask_t, &mut scratch);
+                        let (e0, o0) = state.block_error(block, actual, base, &mut scratch);
+                        let (e1, o1) =
+                            state.block_error(block, actual, base | mask_t, &mut scratch);
                         err.0 += e0;
                         err.1 += e1;
                         ops += o0 + o1 + r_t as u64;
@@ -464,10 +464,10 @@ fn distributed_error<B: ExecutionBackend>(
             let mut scratch = vec![0u64; part.slab_width.div_ceil(64).max(1)];
             let mut err = 0u64;
             let mut ops = build_ops;
-            for b in 0..part.blocks.len() {
-                for row in 0..part.nrows {
+            for (b, block) in part.blocks.iter().enumerate() {
+                for (row, actual) in block.ordered_rows(part.nrows).enumerate() {
                     let union = state.union_mask(b, row, None);
-                    let (e, o) = state.block_error(part, b, row, union, &mut scratch);
+                    let (e, o) = state.block_error(block, actual, union, &mut scratch);
                     err += e;
                     ops += o;
                 }

@@ -69,13 +69,12 @@ struct DenseRows {
 }
 
 impl DenseRows {
-    /// Builds the bitmap from the block's CSR rows.
+    /// Builds the bitmap from the block's rows.
     fn build(block: &Block, nrows: usize) -> Self {
         let words = (block.inner_len as usize).div_ceil(64);
         let mut data = vec![0u64; nrows * words];
-        for r in 0..nrows {
-            let row = &mut data[r * words..(r + 1) * words];
-            for &o in block.row(r) {
+        for (row, ones) in data.chunks_exact_mut(words).zip(block.ordered_rows(nrows)) {
+            for &o in ones {
                 row[(o / 64) as usize] |= 1u64 << (o % 64);
             }
         }
@@ -309,14 +308,14 @@ impl WorkState {
             let cache_words = cache.width().div_ceil(64);
             if ngroups == 1 {
                 let mf0 = mf[0];
-                for (r, err) in errs.iter_mut().enumerate() {
+                for ((r, err), ones) in errs.iter_mut().enumerate().zip(block.ordered_rows(nrows)) {
                     let base = self.row_masks[r * ngroups] & mf0;
                     let key0 = base & !col_bit;
                     let key1 = base | col_bit;
                     let (row0, pop0) = cache.fetch_single(key0);
                     let (row1, pop1) = cache.fetch_single(key1);
                     let (inter0, inter1);
-                    let nnz = block.row(r).len() as u64;
+                    let nnz = ones.len() as u64;
                     match dense {
                         Some(d) => {
                             let (mut i0, mut i1) = (0u64, 0u64);
@@ -330,7 +329,7 @@ impl WorkState {
                         }
                         None => {
                             let (mut i0, mut i1) = (0u64, 0u64);
-                            for &o in block.row(r) {
+                            for &o in ones {
                                 let w = (o / 64) as usize;
                                 let bit = 1u64 << (o % 64);
                                 i0 += u64::from(row0.words()[w] & bit != 0);
@@ -344,7 +343,7 @@ impl WorkState {
                     err.1 += pop1 as u64 + nnz - 2 * inter1;
                 }
             } else {
-                for (r, err) in errs.iter_mut().enumerate() {
+                for ((r, err), ones) in errs.iter_mut().enumerate().zip(block.ordered_rows(nrows)) {
                     let base = r * ngroups;
                     for (g, key) in self.keys.iter_mut().enumerate() {
                         *key = self.row_masks[base + g] & mf[g];
@@ -366,7 +365,7 @@ impl WorkState {
                     let key1 = self.keys[gc] | col_bit;
                     let row0 = cache.group_row(gc, key0).words();
                     let row1 = cache.group_row(gc, key1).words();
-                    let nnz = block.row(r).len() as u64;
+                    let nnz = ones.len() as u64;
                     let (mut pop0, mut pop1) = (0u64, 0u64);
                     let (inter0, inter1);
                     match dense {
@@ -396,7 +395,7 @@ impl WorkState {
                                 self.scratch1[w] = w1;
                             }
                             let (mut i0, mut i1) = (0u64, 0u64);
-                            for &o in block.row(r) {
+                            for &o in ones {
                                 let w = (o / 64) as usize;
                                 let bit = 1u64 << (o % 64);
                                 i0 += u64::from(self.scratch0[w] & bit != 0);
@@ -434,9 +433,9 @@ impl WorkState {
             let dense = self.dense_rows[b].as_ref();
             // Loop-invariant per block: word width of the cached rows.
             let cache_words = cache.width().div_ceil(64);
-            for r in 0..nrows {
+            for (r, ones) in block.ordered_rows(nrows).enumerate() {
                 let base = r * ngroups;
-                let nnz = block.row(r).len() as u64;
+                let nnz = ones.len() as u64;
                 let (pop, inter);
                 if ngroups == 1 {
                     let (row, row_pop) = cache.fetch_single(self.row_masks[r] & mf[0]);
@@ -452,7 +451,7 @@ impl WorkState {
                         }
                         None => {
                             let mut i = 0u64;
-                            for &o in block.row(r) {
+                            for &o in ones {
                                 let w = (o / 64) as usize;
                                 i += u64::from(row.words()[w] & (1u64 << (o % 64)) != 0);
                             }
@@ -478,7 +477,7 @@ impl WorkState {
                         }
                         None => {
                             let mut i = 0u64;
-                            for &o in block.row(r) {
+                            for &o in ones {
                                 let w = (o / 64) as usize;
                                 i += u64::from(self.scratch0[w] & (1u64 << (o % 64)) != 0);
                             }
@@ -728,6 +727,90 @@ mod tests {
             }
         }
         assert!(used_dense, "test tensor should trigger the dense path");
+    }
+
+    /// Checks `partition_error` and `column_errors` of every partition
+    /// against [`naive_range_error`] over the partition's own columns.
+    fn assert_kernels_match_naive(t: &BoolTensor, rank: usize, seed: u64) {
+        let dims = t.dims();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = BitMatrix::random(dims[0], rank, 0.5, &mut rng);
+        let b = BitMatrix::random(dims[1], rank, 0.5, &mut rng);
+        let c = BitMatrix::random(dims[2], rank, 0.5, &mut rng);
+        let unf = Unfolding::new(t, Mode::One);
+        let s = Mode::One.slab_width(dims) as u64;
+        for n in [1usize, 2, 5] {
+            for p in &partition_unfolding(&unf, n) {
+                for v in [15usize, 2, 1] {
+                    let (mut ws, _) = WorkState::build(p, &a, &c, &b, v);
+                    let (err, _) = ws.partition_error(p);
+                    let expect = naive_range_error(&unf, &a, &c, &b, p.col_lo, p.col_hi);
+                    assert_eq!(err, expect, "N = {n}, V = {v}, partition {}", p.index);
+                    for col in 0..rank {
+                        let (errs, _) = ws.column_errors(p, col);
+                        assert_eq!(errs.len(), dims[0]);
+                        // Only slabs whose M_f row has a one in `col` count.
+                        let relevant: Vec<u64> = (p.col_lo..p.col_hi)
+                            .filter(|&cc| c.get((cc / s) as usize, col))
+                            .collect();
+                        for val in [false, true] {
+                            let mut a_mod = a.clone();
+                            for r in 0..dims[0] {
+                                a_mod.set(r, col, val);
+                            }
+                            let recon = bool_matmul(&a_mod, &khatri_rao(&c, &b).transpose());
+                            for (r, &(e0, e1)) in errs.iter().enumerate() {
+                                let expect: u64 = relevant
+                                    .iter()
+                                    .map(|&cc| {
+                                        u64::from(unf.get(r, cc) != recon.get(r, cc as usize))
+                                    })
+                                    .sum();
+                                let got = if val { e1 } else { e0 };
+                                assert_eq!(
+                                    got, expect,
+                                    "N = {n}, V = {v}, partition {}, col {col}, row {r}",
+                                    p.index
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Blocks whose first or last rows are empty, and a row that is empty
+    /// in every block, on both the sparse and the dense-bitmap paths.
+    #[test]
+    fn kernels_handle_empty_rows() {
+        let dims = [6, 5, 7];
+        for (density, seed) in [(0.3, 40), (0.95, 41)] {
+            let full = random_tensor(dims, density, seed);
+            // Mode-1 slab `k` holds the cells with third index `k`. Row 0
+            // is empty in even slabs, row 5 in odd ones, row 2 everywhere.
+            let entries = full
+                .iter()
+                .filter(|&[i, _, k]| i != 2 && !(i == 0 && k % 2 == 0) && !(i == 5 && k % 2 == 1))
+                .collect();
+            let t = BoolTensor::from_entries(dims, entries);
+            let unf = Unfolding::new(&t, Mode::One);
+            let parts = partition_unfolding(&unf, 1);
+            let blocks = &parts[0].blocks;
+            assert!(blocks.iter().all(|b| b.row(2).is_empty()));
+            assert!(blocks
+                .iter()
+                .any(|b| b.row(0).is_empty() && !b.row(5).is_empty()));
+            assert!(blocks
+                .iter()
+                .any(|b| b.row(5).is_empty() && !b.row(0).is_empty()));
+            if density > 0.5 {
+                assert!(blocks.iter().all(|b| use_dense(b, dims[0])));
+            }
+            assert_kernels_match_naive(&t, 4, seed);
+        }
+        // No ones at all: every row of every block is empty.
+        assert_kernels_match_naive(&BoolTensor::empty(dims), 3, 42);
     }
 
     #[test]

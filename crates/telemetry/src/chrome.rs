@@ -340,12 +340,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run of plain bytes up to the next quote or
+                // backslash. Both are ASCII, so they never fall inside a
+                // multi-byte scalar: the run is whole scalars and each
+                // byte is validated once.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let text = std::str::from_utf8(&bytes[*pos..run])
                     .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
@@ -621,6 +627,51 @@ mod tests {
             "negative dur must fail"
         );
         assert!(validate_chrome_trace("[]").unwrap().complete_events == 0);
+    }
+
+    #[test]
+    fn json_strings_roundtrip_non_ascii_and_escapes() {
+        for text in [
+            "plain",
+            "naïve — ü ✓ 😀",
+            "q\"b\\s/n\nt\tr\rc\u{1}",
+            "é\"😀\\x\n✓",
+            "",
+        ] {
+            let mut json = String::new();
+            escape_json(text, &mut json);
+            let v = JsonValue::parse(&json).unwrap();
+            assert_eq!(v.as_str(), Some(text), "{json}");
+        }
+        let v = JsonValue::parse(r#""caf\u00e9 \/ ✓""#).unwrap();
+        assert_eq!(v.as_str(), Some("café / ✓"));
+        assert!(JsonValue::parse(r#""unterminated ✓"#).is_err());
+    }
+
+    #[test]
+    fn a_ten_thousand_event_export_validates() {
+        let t = Tracer::enabled();
+        let run = t.begin(SpanKind::Run, "run", 0.0);
+        for i in 0..10_000u64 {
+            let v = i as f64;
+            t.record(
+                SpanKind::Superstep,
+                "cp.update.sweep",
+                None,
+                (v, v + 1.0),
+                (v, v + 0.5),
+                None,
+                None,
+                vec![("ops", i)],
+            );
+        }
+        t.end(run, 10_000.0);
+        t.set_counter("net.bytes — ✓", 1.0);
+        let mut buf = Vec::new();
+        write_chrome_trace(&t.finish(), &mut buf).unwrap();
+        let summary = validate_chrome_trace(&String::from_utf8(buf).unwrap()).unwrap();
+        assert_eq!(summary.complete_events, 10_001);
+        assert_eq!(summary.counter_events, 1);
     }
 
     #[test]

@@ -108,9 +108,9 @@ impl SpanRecord {
 #[derive(Default)]
 struct TracerState {
     spans: Vec<SpanRecord>,
-    /// Open-span stack (driver thread only): top is the parent of the next
-    /// recorded span.
-    stack: Vec<u64>,
+    /// Open-span stack (driver thread only) of `(id, index in spans)`: top
+    /// is the parent of the next recorded span.
+    stack: Vec<(u64, usize)>,
     /// Named counter values exported with the trace.
     counters: Vec<(String, f64)>,
 }
@@ -178,7 +178,8 @@ impl Tracer {
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let wall = inner.origin.elapsed().as_secs_f64();
         let mut st = Self::lock(inner);
-        let parent = st.stack.last().copied();
+        let parent = st.stack.last().map(|&(id, _)| id);
+        let index = st.spans.len();
         st.spans.push(SpanRecord {
             id,
             parent,
@@ -192,7 +193,7 @@ impl Tracer {
             partition: None,
             args: Vec::new(),
         });
-        st.stack.push(id);
+        st.stack.push((id, index));
         id
     }
 
@@ -205,9 +206,14 @@ impl Tracer {
         }
         let wall = inner.origin.elapsed().as_secs_f64();
         let mut st = Self::lock(inner);
-        debug_assert_eq!(st.stack.last(), Some(&id), "unbalanced span begin/end");
-        st.stack.pop();
-        if let Some(span) = st.spans.iter_mut().find(|s| s.id == id) {
+        let top = st.stack.pop();
+        debug_assert_eq!(
+            top.map(|(top, _)| top),
+            Some(id),
+            "unbalanced span begin/end"
+        );
+        if let Some((_, index)) = top.filter(|&(top, _)| top == id) {
+            let span = &mut st.spans[index];
             span.virtual_end = virtual_end;
             span.wall_end = wall;
         }
@@ -232,7 +238,7 @@ impl Tracer {
         let mut st = Self::lock(inner);
         let parent = parent
             .filter(|&p| p != 0)
-            .or_else(|| st.stack.last().copied());
+            .or_else(|| st.stack.last().map(|&(id, _)| id));
         st.spans.push(SpanRecord {
             id,
             parent,
@@ -322,16 +328,14 @@ impl TraceLog {
         use std::fmt::Write;
         // Parent ids are assigned in recording order, so mapping them to
         // their index keeps the fingerprint independent of id allocation.
-        let index_of = |id: Option<u64>| -> i64 {
-            match id {
-                None => -1,
-                Some(id) => self
-                    .spans
-                    .iter()
-                    .position(|s| s.id == id)
-                    .map_or(-1, |p| p as i64),
-            }
-        };
+        let index: std::collections::HashMap<u64, usize> = self
+            .spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.id, i))
+            .collect();
+        let index_of =
+            |id: Option<u64>| -> i64 { id.and_then(|id| index.get(&id)).map_or(-1, |&p| p as i64) };
         for span in &self.spans {
             let _ = write!(
                 out,
@@ -461,6 +465,34 @@ mod tests {
         assert_eq!(log.spans[3].parent, Some(op));
         assert_eq!(log.spans[3].worker, Some(1));
         assert_eq!(log.spans[3].partition, Some(3));
+    }
+
+    #[test]
+    fn many_nested_spans_record_their_own_ends() {
+        // 100k spans in runs of eight nested levels under one root; each
+        // span ends at a virtual time derived from its id.
+        let t = Tracer::enabled();
+        let run = t.begin(SpanKind::Run, "run", 0.0);
+        let mut open = Vec::new();
+        for i in 0..100_000u64 {
+            open.push(t.begin(SpanKind::Phase, "phase", i as f64));
+            if open.len() == 8 || i == 99_999 {
+                while let Some(id) = open.pop() {
+                    t.end(id, id as f64 * 2.0);
+                }
+            }
+        }
+        t.end(run, -1.0);
+        let log = t.finish();
+        assert_eq!(log.len(), 100_001);
+        assert_eq!(log.spans[0].virtual_end, -1.0);
+        for (i, span) in log.spans.iter().enumerate().skip(1) {
+            assert_eq!(span.virtual_end, span.id as f64 * 2.0, "span {}", span.id);
+            let depth = (i - 1) % 8;
+            let parent = if depth == 0 { run } else { log.spans[i - 1].id };
+            assert_eq!(span.parent, Some(parent), "span {}", span.id);
+        }
+        assert_eq!(log.fingerprint().lines().count(), 100_001);
     }
 
     #[test]

@@ -166,10 +166,13 @@ pub fn read_tensor_binary_buf(mut data: &[u8]) -> Result<BoolTensor, ParseError>
         data.get_u64_le() as usize,
         data.get_u64_le() as usize,
     ];
-    let count = data.get_u64_le() as usize;
-    if data.remaining() < count * 12 {
+    // The count sizes the builder, so bound it by the 12-byte entries the
+    // bytes left can hold before reserving anything.
+    let count = data.get_u64_le();
+    if count > (data.remaining() / 12) as u64 {
         return Err(malformed("truncated entry section"));
     }
+    let count = count as usize;
     let mut builder = TensorBuilder::with_capacity(dims, count);
     for _ in 0..count {
         let (i, j, k) = (data.get_u32_le(), data.get_u32_le(), data.get_u32_le());
@@ -598,6 +601,26 @@ mod tests {
             read_tensor_binary_buf(&bad),
             Err(ParseError::OutOfRange(_, _))
         ));
+    }
+
+    #[test]
+    fn binary_inflated_count_is_an_error_not_an_allocation() {
+        // 40 bytes: magic, dims 4 × 4 × 4, and a count of 2⁶² whose
+        // 12-byte entries would wrap a u64 byte total.
+        for count in [1u64 << 62, u64::MAX, 1] {
+            let mut buf = BINARY_MAGIC.to_vec();
+            for d in [4u64, 4, 4, count] {
+                buf.extend_from_slice(&d.to_le_bytes());
+            }
+            assert_eq!(buf.len(), 40);
+            assert!(
+                matches!(
+                    read_tensor_binary_buf(&buf),
+                    Err(ParseError::Malformed(_, _))
+                ),
+                "count {count}"
+            );
+        }
     }
 
     #[test]
